@@ -59,15 +59,14 @@ pub struct PipelineStats {
     /// folds into its cost signal — see `hotdog_runtime::adaptive`).
     pub worker_instructions: u64,
     /// Gather/repartition fetches issued while distributed-block
-    /// completions were still pending: the tagged-reply protocol let the
+    /// completions were still pending: the tagged-reply protocol lets the
     /// fetch overlap in-flight worker work instead of draining the window
-    /// first (always 0 under the FIFO-compat schedule).
+    /// first.
     pub gathers_overlapped: usize,
     /// Multi-statement `ApplyMany` scatter messages shipped to workers.
     pub scatter_messages_sent: usize,
     /// Per-statement scatter messages avoided by batching (sum over
-    /// shipped messages of `statements - 1`); 0 when scatter batching is
-    /// disabled.
+    /// shipped messages of `statements - 1`).
     pub scatter_messages_saved: usize,
     /// Coalescing bound currently in force (the static threshold, or the
     /// adaptive controller's latest choice).

@@ -196,9 +196,10 @@ fn worker_binary(config: &TcpConfig) -> io::Result<PathBuf> {
     Err(io::Error::new(
         io::ErrorKind::NotFound,
         "hotdog-worker binary not found next to the current executable: build it first \
-         (`cargo build -p hotdog-worker`, with --release for release runs — \
-         target-filtered `cargo test --test ...` does not build it) or point \
-         HOTDOG_WORKER_BIN / TcpConfig::worker_bin at it",
+         (`cargo build -p hotdog-worker`, with --release for release runs; a plain \
+         `cargo test` builds it, a target-filtered `cargo test --test ...` outside \
+         the hotdog-worker package does not) or point HOTDOG_WORKER_BIN / \
+         TcpConfig::worker_bin at it",
     ))
 }
 
@@ -1097,7 +1098,6 @@ impl Transport for TcpTransport {
         TransportNames {
             sync: "tcp",
             pipelined: "tcp-pipelined",
-            fifo: "tcp-pipelined-fifo",
         }
     }
 

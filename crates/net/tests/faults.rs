@@ -187,9 +187,9 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
             TcpCluster::new(example_dplan(OptLevel::O3), &thread_config(2)).expect("tcp cluster");
         clean.set_fault_config(Some(fault_config.clone()));
         for (rel, batch) in batches() {
-            clean.apply_batch(rel, &batch);
+            clean.try_apply_batch(rel, &batch).expect("batch applied");
         }
-        let expected = clean.query_result().checksum();
+        let expected = clean.try_query_result().expect("read").checksum();
 
         for phase in [Phase::Before, Phase::After] {
             let plan = FaultPlan::kill(1, FaultKind::RunBlock, 2, phase);
@@ -200,10 +200,10 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
             .expect("tcp cluster");
             tcp.set_fault_config(Some(fault_config.clone()));
             for (rel, batch) in batches() {
-                tcp.apply_batch(rel, &batch); // recovery is internal
+                tcp.try_apply_batch(rel, &batch).expect("batch applied"); // recovery is internal
             }
             assert_eq!(
-                tcp.query_result().checksum(),
+                tcp.try_query_result().expect("read").checksum(),
                 expected,
                 "faulted run diverged ({mode:?}, {phase:?})"
             );
@@ -231,9 +231,9 @@ fn seeded_plans_recover_bit_identically() {
         TcpCluster::new(example_dplan(OptLevel::O2), &thread_config(2)).expect("tcp cluster");
     clean.set_fault_config(Some(fault_config.clone()));
     for (rel, batch) in batches() {
-        clean.apply_batch(rel, &batch);
+        clean.try_apply_batch(rel, &batch).expect("batch applied");
     }
-    let expected = clean.query_result().checksum();
+    let expected = clean.try_query_result().expect("read").checksum();
 
     for seed in [1u64, 7, 42] {
         let plan = FaultPlan::seeded(seed, 2);
@@ -244,10 +244,10 @@ fn seeded_plans_recover_bit_identically() {
         .expect("tcp cluster");
         tcp.set_fault_config(Some(fault_config.clone()));
         for (rel, batch) in batches() {
-            tcp.apply_batch(rel, &batch);
+            tcp.try_apply_batch(rel, &batch).expect("batch applied");
         }
         assert_eq!(
-            tcp.query_result().checksum(),
+            tcp.try_query_result().expect("read").checksum(),
             expected,
             "seed {seed} ({}) diverged",
             plan.kills[0]

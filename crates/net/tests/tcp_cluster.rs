@@ -130,12 +130,6 @@ fn tcp_pipelined_matches_sync_bit_for_bit() {
             ..Default::default()
         }
         .with_shuffled_replies(0xD15C0),
-        PipelineConfig {
-            coalesce_tuples: 0,
-            async_gather: false,
-            batch_scatters: false,
-            ..Default::default()
-        },
     ] {
         let mut tcp = TcpCluster::pipelined(
             example_dplan(OptLevel::O3),
@@ -155,6 +149,8 @@ fn tcp_pipelined_matches_sync_bit_for_bit() {
             "pipelined tcp diverged under {config:?}"
         );
         assert_eq!(tcp.outstanding_replies(), 0);
+        assert_eq!(tcp.backend_name(), "tcp-pipelined");
+        assert_eq!(sync.backend_name(), "threaded");
     }
 }
 
@@ -186,6 +182,7 @@ fn tcp_coalescing_matches_coalesced_threaded_bit_for_bit() {
         threaded.pipeline_stats().unwrap().batches_coalesced,
         "coalescing decisions must not depend on the transport"
     );
+    assert_eq!(threaded.backend_name(), "pipelined");
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //! ## Execution modes
 //!
 //! [`ThreadedCluster::new`] builds the **epoch-synchronous** runtime: each
-//! [`ThreadedCluster::apply_batch`] executes the batch to completion,
+//! [`Backend::apply_batch`] executes the batch to completion,
 //! barriering after every distributed block, exactly one batch in the
 //! system at a time.
 //!
@@ -79,8 +79,8 @@
 //!    per batch instead of one message per statement
 //!    ([`PipelineStats::scatter_messages_saved`] counts the reduction).
 //! 3. **Watermark tracking** — the cluster counts admitted, issued and
-//!    committed batches.  Reads ([`ThreadedCluster::view_contents`],
-//!    [`ThreadedCluster::query_result`]) first commit the watermark
+//!    committed batches.  Reads ([`Backend::view_contents`],
+//!    [`Backend::query_result`]) first commit the watermark
 //!    (settle the request-id ledger and barrier trailing scatters), so
 //!    they always
 //!    observe a *consistent batch boundary*: every issued batch
@@ -91,7 +91,7 @@
 //!    delta may have been ring-summed past later-admitted batches of
 //!    *other* relations (the flushed end state is identical either way).
 //!    Queued-but-unissued batches become visible after
-//!    [`ThreadedCluster::flush`], which drains the admission queue and
+//!    [`Backend::flush`], which drains the admission queue and
 //!    finalizes stream timing.
 //!
 //! [`BatchExecution::latency_secs`]: hotdog_distributed::BatchExecution
@@ -185,12 +185,11 @@ pub trait Transport {
 }
 
 /// The [`Backend::backend_name`] strings of a transport, per execution
-/// mode (epoch-synchronous / pipelined tagged / pipelined FIFO-compat).
+/// mode (epoch-synchronous / pipelined).
 #[derive(Clone, Copy, Debug)]
 pub struct TransportNames {
     pub sync: &'static str,
     pub pipelined: &'static str,
-    pub fifo: &'static str,
 }
 
 /// A worker failed: its connection closed, its heartbeat deadline
@@ -392,7 +391,6 @@ impl Transport for ChannelTransport {
         TransportNames {
             sync: "threaded",
             pipelined: "pipelined",
-            fifo: "pipelined-fifo",
         }
     }
 }
@@ -469,7 +467,7 @@ pub struct PipelineConfig {
     /// (a read never observes data staler than the target).  There is no
     /// background timer: on a stream that goes fully quiescent (no
     /// admissions, no reads), queued deltas wait until the next
-    /// admission, read or [`ThreadedCluster::flush`].  `None` leaves
+    /// admission, read or [`Backend::flush`].  `None` leaves
     /// staleness unbounded (pure-throughput mode).
     pub latency_target: Option<Duration>,
     /// Self-tuning coalescing: measure per-trigger overhead vs. marginal
@@ -480,19 +478,6 @@ pub struct PipelineConfig {
     /// Maximum unsettled distributed-block completions per worker before
     /// the driver must wait for one to settle.
     pub inflight_blocks: usize,
-    /// Fully asynchronous gathers (the tagged-reply schedule, default):
-    /// `Gather`/`Repart` fetches are issued immediately and wait only for
-    /// their own request ids; in-flight block completions settle into the
-    /// ledger whenever they arrive.  `false` restores the positional-FIFO
-    /// schedule — drain the entire in-flight window before any fetch — as
-    /// an A/B comparison arm (the `async_gather` bench section measures
-    /// tagged vs. FIFO).
-    pub async_gather: bool,
-    /// Ship scatters as one multi-statement `ApplyMany` message per worker
-    /// per batch (default).  `false` ships one message per scatter
-    /// statement, reproducing the positional protocol's channel traffic
-    /// for A/B comparison.
-    pub batch_scatters: bool,
     /// Chaos/test knob: deterministically shuffle the driver's reply inbox
     /// (seeded) on every arrival, forcing replies to be *consumed* out of
     /// order.  Correctness must not depend on reply order — the ledger
@@ -510,8 +495,6 @@ impl Default for PipelineConfig {
             latency_target: None,
             adaptive: None,
             inflight_blocks: 4,
-            async_gather: true,
-            batch_scatters: true,
             shuffle_replies: None,
         }
     }
@@ -546,20 +529,6 @@ impl PipelineConfig {
     pub fn with_admit_bytes(mut self, admit_bytes: usize) -> Self {
         self.admit_bytes = admit_bytes;
         self
-    }
-
-    /// Positional-FIFO compatibility schedule: drain the full in-flight
-    /// window before every gather/repart fetch and ship one scatter
-    /// message per statement.  State is bit-identical to the tagged
-    /// schedule (same trigger sequence, same per-worker command order);
-    /// only reply accounting and channel traffic differ.  Used as the
-    /// baseline arm of the `async_gather` benchmark comparison.
-    pub fn fifo_compat() -> Self {
-        PipelineConfig {
-            async_gather: false,
-            batch_scatters: false,
-            ..Default::default()
-        }
     }
 
     /// Builder-style reply-inbox shuffling (see
@@ -679,7 +648,7 @@ impl DriverMetrics {
 /// **bit-identical** values.  The workspace telemetry oracle asserts
 /// exactly that (derived `Eq`).
 ///
-/// Obtained from [`Driver::telemetry_totals`], which flushes the
+/// Obtained from [`Driver::try_telemetry_totals`], which flushes the
 /// pipeline and gathers every worker's counters over the protocol's
 /// `Stats` message.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -836,7 +805,7 @@ impl ThreadedCluster {
     /// Spawn `workers` worker threads with empty view partitions, in
     /// pipelined mode: `apply_batch` admits into a coalescing queue and
     /// execution overlaps driver and worker work within the configured
-    /// in-flight window.  Call [`ThreadedCluster::flush`] (or read a view)
+    /// in-flight window.  Call [`Backend::flush`] (or read a view)
     /// to force admitted batches through.
     pub fn pipelined(dplan: DistributedPlan, workers: usize, config: PipelineConfig) -> Self {
         let transport = ChannelTransport::spawn(&dplan, workers);
@@ -938,7 +907,7 @@ impl<T: Transport> Driver<T> {
 
     /// Size of the request-id ledger: block completions issued to workers
     /// but not yet settled, plus replies stashed unconsumed in the
-    /// driver's inbox.  [`ThreadedCluster::flush`] (and every read) drains
+    /// driver's inbox.  [`Backend::flush`] (and every read) drains
     /// this to zero — a flushed cluster owes its workers nothing.
     pub fn outstanding_replies(&self) -> usize {
         self.pending_blocks.iter().map(|p| p.len()).sum::<usize>()
@@ -948,7 +917,7 @@ impl<T: Transport> Driver<T> {
     /// Number of batches guaranteed visible to reads: reads observe
     /// exactly this many *issued* batches (post-coalescing), a prefix of
     /// the admitted stream when coalescing is off and of its commuted
-    /// schedule otherwise (see [`ThreadedCluster::view_contents`]).
+    /// schedule otherwise (see [`Backend::view_contents`]).
     /// Advanced by reads and by `flush`.
     pub fn watermark(&self) -> u64 {
         self.watermark
@@ -1045,8 +1014,7 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Settle every pending block completion (all workers) — the full
-    /// ledger drain used by watermark commits and the FIFO-compat
-    /// schedule.
+    /// ledger drain used by watermark commits.
     fn drain_pending_blocks(&mut self) -> Result<(), WorkerDead> {
         for w in 0..self.workers {
             while !self.pending_blocks[w].is_empty() {
@@ -1277,23 +1245,10 @@ impl<T: Transport> Driver<T> {
     /// wall-clock into the totals.  After `flush`, reads observe the entire
     /// admitted stream.  No-op in epoch-synchronous mode.
     ///
-    /// Recovers worker deaths per the [`FaultConfig`]; panics with the
-    /// typed [`WorkerDead`] message when recovery is disabled or
-    /// exhausted (use [`Driver::try_flush`] for the fallible form).
-    pub fn flush(&mut self) {
-        self.try_flush()
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"));
-    }
-
-    /// Fallible [`Driver::flush`]: surfaces an unrecovered worker death
-    /// instead of panicking.
+    /// Recovers worker deaths per the [`FaultConfig`] and surfaces the
+    /// typed [`WorkerDead`] when recovery is disabled or exhausted.
     pub fn try_flush(&mut self) -> Result<(), WorkerDead> {
-        loop {
-            match self.flush_inner() {
-                Ok(()) => return Ok(()),
-                Err(dead) => self.recover(dead)?,
-            }
-        }
+        self.with_recovery(Self::flush_inner)
     }
 
     fn flush_inner(&mut self) -> Result<(), WorkerDead> {
@@ -1310,33 +1265,18 @@ impl<T: Transport> Driver<T> {
         Ok(())
     }
 
-    /// Whether gathers run fully asynchronously (the default tagged
-    /// schedule) or drain the in-flight window first (FIFO compat).
-    fn async_gather(&self) -> bool {
-        self.pipeline.as_ref().is_none_or(|c| c.async_gather)
-    }
-
-    /// Whether scatters buffer into per-worker `ApplyMany` batches.
-    fn batch_scatters(&self) -> bool {
-        self.pipeline.as_ref().is_none_or(|c| c.batch_scatters)
-    }
-
     /// Fetch one relation from every worker, in worker order (the merge
     /// order must match the simulator's sequential 0..N loop so float
     /// accumulation is identical).
     ///
-    /// Tagged schedule: the fetch requests are issued to *every* worker
-    /// immediately and each reply is awaited by its request id; pending
-    /// block completions settle into the ledger as their replies arrive
-    /// instead of being drained up front, so workers flow from their
-    /// in-flight blocks straight into the fetch with the request already
-    /// queued.  FIFO-compat schedule (`async_gather = false`): drain the
-    /// entire window first, as the positional protocol had to.
+    /// The fetch requests are issued to *every* worker immediately and
+    /// each reply is awaited by its request id; pending block completions
+    /// settle into the ledger as their replies arrive instead of being
+    /// drained up front, so workers flow from their in-flight blocks
+    /// straight into the fetch with the request already queued.
     fn fetch_all(&mut self, make: impl Fn(u64) -> Request) -> Result<Vec<Relation>, WorkerDead> {
         let outstanding: usize = self.pending_blocks.iter().map(|p| p.len()).sum();
-        if !self.async_gather() {
-            self.drain_pending_blocks()?;
-        } else if outstanding > 0 {
+        if outstanding > 0 {
             self.stats.gathers_overlapped += 1;
         }
         let mut ids = Vec::with_capacity(self.workers);
@@ -1373,23 +1313,13 @@ impl<T: Transport> Driver<T> {
     /// have been ring-summed past later-admitted batches of other
     /// relations, preserving per-relation admission order — see the crate
     /// docs).  Admitted-but-queued batches require a
-    /// [`ThreadedCluster::flush`] to become visible.
-    pub fn view_contents(&mut self, name: &str) -> Relation {
-        self.try_view_contents(name)
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
-    }
-
-    /// Fallible [`ThreadedCluster::view_contents`]: recovers worker
-    /// deaths per the [`FaultConfig`] (reads are idempotent, so the read
-    /// is simply retried after recovery) and surfaces the typed error
-    /// when recovery is disabled or exhausted.
+    /// [`Driver::try_flush`] to become visible.
+    ///
+    /// Recovers worker deaths per the [`FaultConfig`] (reads are
+    /// idempotent, so the read is simply retried after recovery) and
+    /// surfaces the typed error when recovery is disabled or exhausted.
     pub fn try_view_contents(&mut self, name: &str) -> Result<Relation, WorkerDead> {
-        loop {
-            match self.view_contents_inner(name) {
-                Ok(rel) => return Ok(rel),
-                Err(dead) => self.recover(dead)?,
-            }
-        }
+        self.with_recovery(|d| d.view_contents_inner(name))
     }
 
     fn view_contents_inner(&mut self, name: &str) -> Result<Relation, WorkerDead> {
@@ -1430,12 +1360,7 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Current contents of the top-level query view (watermark-consistent
-    /// in pipelined mode, see [`ThreadedCluster::view_contents`]).
-    pub fn query_result(&mut self) -> Relation {
-        self.view_contents(&self.dplan.plan.top_view.clone())
-    }
-
-    /// Fallible [`ThreadedCluster::query_result`].
+    /// in pipelined mode, see [`Driver::try_view_contents`]).
     pub fn try_query_result(&mut self) -> Result<Relation, WorkerDead> {
         self.try_view_contents(&self.dplan.plan.top_view.clone())
     }
@@ -1446,19 +1371,15 @@ impl<T: Transport> Driver<T> {
     /// **measured** execution statistics.  Pipelined mode: *admits* the
     /// batch (possibly ring-summing it into an already-queued delta) and
     /// returns admission statistics; execution overlaps subsequent
-    /// admissions and is forced by [`ThreadedCluster::flush`] or any view
+    /// admissions and is forced by [`Driver::try_flush`] or any view
     /// read.
-    pub fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
-        self.try_apply_batch(relation, batch)
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
-    }
-
-    /// Fallible [`ThreadedCluster::apply_batch`]: recovers worker deaths
-    /// per the [`FaultConfig`] and surfaces the typed [`WorkerDead`]
-    /// when recovery is disabled or exhausted.  An interrupted batch is
-    /// logged *before* any message is issued, so a successful recovery
-    /// replays it to completion — the returned stats for a recovered
-    /// batch carry only its input size, not measured execution numbers.
+    ///
+    /// Recovers worker deaths per the [`FaultConfig`] and surfaces the
+    /// typed [`WorkerDead`] when recovery is disabled or exhausted.  An
+    /// interrupted batch is logged *before* any message is issued, so a
+    /// successful recovery replays it to completion — the returned stats
+    /// for a recovered batch carry only its input size, not measured
+    /// execution numbers.
     pub fn try_apply_batch(
         &mut self,
         relation: &str,
@@ -1477,12 +1398,8 @@ impl<T: Transport> Driver<T> {
             },
             Some(_) => {
                 let stats = self.admit(relation, batch);
-                loop {
-                    match self.drain_admission_bounds() {
-                        Ok(()) => return Ok(stats),
-                        Err(dead) => self.recover(dead)?,
-                    }
-                }
+                self.with_recovery(Self::drain_admission_bounds)?;
+                Ok(stats)
             }
         }
     }
@@ -1874,36 +1791,16 @@ impl<T: Transport> Driver<T> {
                     self.driver.read(source)
                 };
                 let src = relabel(&src, &stmt.target_schema);
-                self.scatter(pf, &src, stmt)
+                Ok(self.scatter(pf, &src, stmt))
             }
             Transform::Repart(pf) => {
-                let ctx = self.trace_scope;
-                let span = self.telemetry.begin_span(ctx, "gather");
-                let mut collected = Relation::new(stmt.target_schema.clone());
-                for part in self.fetch_all(|id| Request::Fetch {
-                    id,
-                    ctx,
-                    name: source.to_string(),
-                })? {
-                    collected.merge(&relabel(&part, &stmt.target_schema));
-                }
-                self.telemetry.finish_span(span);
+                let collected = self.gather(stmt, source)?;
                 let moved = collected.serialized_size();
-                self.scatter(pf, &collected, stmt)?;
+                self.scatter(pf, &collected, stmt);
                 Ok(moved + collected.serialized_size())
             }
             Transform::Gather => {
-                let ctx = self.trace_scope;
-                let span = self.telemetry.begin_span(ctx, "gather");
-                let mut collected = Relation::new(stmt.target_schema.clone());
-                for part in self.fetch_all(|id| Request::Fetch {
-                    id,
-                    ctx,
-                    name: source.to_string(),
-                })? {
-                    collected.merge(&relabel(&part, &stmt.target_schema));
-                }
-                self.telemetry.finish_span(span);
+                let collected = self.gather(stmt, source)?;
                 let bytes = collected.serialized_size();
                 self.driver.apply(stmt, collected);
                 Ok(bytes)
@@ -1911,19 +1808,29 @@ impl<T: Transport> Driver<T> {
         }
     }
 
+    /// Fetch every worker's piece of `source` and merge them, in worker
+    /// order, into one driver-side relation with the statement's schema.
+    fn gather(&mut self, stmt: &DistStatement, source: &str) -> Result<Relation, WorkerDead> {
+        let ctx = self.trace_scope;
+        let span = self.telemetry.begin_span(ctx, "gather");
+        let mut collected = Relation::new(stmt.target_schema.clone());
+        for part in self.fetch_all(|id| Request::Fetch {
+            id,
+            ctx,
+            name: source.to_string(),
+        })? {
+            collected.merge(&relabel(&part, &stmt.target_schema));
+        }
+        self.telemetry.finish_span(span);
+        Ok(collected)
+    }
+
     /// Buffer per-worker shards of a driver-held relation for shipment.
     /// Empty shards are buffered too: a `SetTo` scatter must clear stale
     /// buffers on workers that receive no rows this batch.  Shards ride in
     /// the worker's next `ApplyMany` (shipped before its next command, or
-    /// at batch end); with [`PipelineConfig::batch_scatters`] disabled each
-    /// scatter statement ships immediately as its own message, reproducing
-    /// the positional protocol's traffic.
-    fn scatter(
-        &mut self,
-        pf: &PartitionFn,
-        src: &Relation,
-        stmt: &DistStatement,
-    ) -> Result<usize, WorkerDead> {
+    /// at batch end).
+    fn scatter(&mut self, pf: &PartitionFn, src: &Relation, stmt: &DistStatement) -> usize {
         let span = self
             .telemetry
             .begin_span(self.trace_scope, "scatter.encode");
@@ -1933,10 +1840,7 @@ impl<T: Transport> Driver<T> {
         for (w, shard) in shards.into_iter().enumerate() {
             self.pending_applies[w].push((stmt.clone(), shard));
         }
-        if !self.batch_scatters() {
-            self.ship_all_applies()?;
-        }
-        Ok(bytes)
+        bytes
     }
 
     /// Install (or clear) the fault-tolerance configuration.  Must be set
@@ -2028,6 +1932,23 @@ impl<T: Transport> Driver<T> {
             ],
         );
         Ok(())
+    }
+
+    /// Run `op` until it succeeds, recovering each worker death it hits
+    /// (see [`Driver::recover`]); the typed error surfaces once recovery
+    /// is disabled or exhausted.  Only for idempotent-on-retry operations:
+    /// recovery rolls the cluster back to the last checkpoint and replays
+    /// the logged stream, after which `op` starts over.
+    fn with_recovery<R>(
+        &mut self,
+        mut op: impl FnMut(&mut Self) -> Result<R, WorkerDead>,
+    ) -> Result<R, WorkerDead> {
+        loop {
+            match op(self) {
+                Ok(value) => return Ok(value),
+                Err(dead) => self.recover(dead)?,
+            }
+        }
     }
 
     /// Recover from a worker death, or surface it as the typed error when
@@ -2271,44 +2192,38 @@ impl<T: Transport> Driver<T> {
     /// Fallible [`DeltaCapture::take_captured`]: surfaces an unrecovered
     /// worker death instead of panicking.
     pub fn try_take_captured(&mut self) -> Result<CaptureBatch, WorkerDead> {
-        loop {
-            match self.take_captured_inner() {
-                Ok(batch) => return Ok(batch),
-                Err(dead) => self.recover(dead)?,
-            }
-        }
+        self.with_recovery(Self::take_captured_inner)
     }
+}
+
+/// The driver's infallible surface — the [`Backend`] and [`DeltaCapture`]
+/// impls, [`Driver::metrics_snapshot`] and [`Driver::trace_spans`]: an
+/// unrecovered worker death (recovery disabled or exhausted) panics with
+/// the typed [`WorkerDead`] message.  Callers that must survive a death
+/// use the driver's `try_*` methods instead.
+fn or_panic<R>(result: Result<R, WorkerDead>) -> R {
+    result.unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
 }
 
 impl<T: Transport> DeltaCapture for Driver<T> {
     fn enable_capture(&mut self, views: &[String]) {
         self.capture_views = views.to_vec();
         self.capture_epoch = self.recoveries;
-        loop {
-            match self.broadcast_set_capture() {
-                Ok(()) => return,
-                Err(dead) => {
-                    if let Err(dead) = self.recover(dead) {
-                        panic!("{dead} (recovery unavailable)");
-                    }
-                }
-            }
-        }
+        or_panic(self.with_recovery(Self::broadcast_set_capture));
     }
 
     fn take_captured(&mut self) -> CaptureBatch {
-        self.try_take_captured()
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
+        or_panic(self.try_take_captured())
     }
 }
 
 impl<T: Transport> Backend for Driver<T> {
     fn backend_name(&self) -> &'static str {
         let names = self.transport.names();
-        match &self.pipeline {
-            None => names.sync,
-            Some(c) if c.async_gather => names.pipelined,
-            Some(_) => names.fifo,
+        if self.is_pipelined() {
+            names.pipelined
+        } else {
+            names.sync
         }
     }
 
@@ -2317,15 +2232,15 @@ impl<T: Transport> Backend for Driver<T> {
     }
 
     fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
-        Driver::apply_batch(self, relation, batch)
+        or_panic(self.try_apply_batch(relation, batch))
     }
 
     fn flush(&mut self) {
-        Driver::flush(self);
+        or_panic(self.try_flush());
     }
 
     fn view_contents(&mut self, name: &str) -> Relation {
-        Driver::view_contents(self, name)
+        or_panic(self.try_view_contents(name))
     }
 
     fn totals(&self) -> &ClusterTotals {
@@ -2404,22 +2319,11 @@ impl<T: Transport> Driver<T> {
     /// Flush the pipeline and return the deterministic cross-backend
     /// telemetry totals (see [`TelemetryTotals`]): driver-side message
     /// counts captured *before* the stats gather itself, plus every
-    /// worker's counters collected over the protocol.
-    pub fn telemetry_totals(&mut self) -> TelemetryTotals {
-        self.try_telemetry_totals()
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
-    }
-
-    /// Fallible [`Driver::telemetry_totals`]: recovers worker deaths per
-    /// the [`FaultConfig`], surfacing [`WorkerDead`] when recovery is
-    /// disabled or exhausted.
+    /// worker's counters collected over the protocol.  Recovers worker
+    /// deaths per the [`FaultConfig`], surfacing [`WorkerDead`] when
+    /// recovery is disabled or exhausted.
     pub fn try_telemetry_totals(&mut self) -> Result<TelemetryTotals, WorkerDead> {
-        loop {
-            match self.telemetry_totals_inner() {
-                Ok(totals) => return Ok(totals),
-                Err(dead) => self.recover(dead)?,
-            }
-        }
+        self.with_recovery(Self::telemetry_totals_inner)
     }
 
     fn telemetry_totals_inner(&mut self) -> Result<TelemetryTotals, WorkerDead> {
@@ -2450,7 +2354,7 @@ impl<T: Transport> Driver<T> {
     /// in as absolute values (idempotent across repeated calls — the
     /// worker counters are cumulative on the worker, not re-summed here).
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        let totals = self.telemetry_totals();
+        let totals = or_panic(self.try_telemetry_totals());
         let mut snap = self.telemetry.snapshot();
         snap.set_counter("worker.instructions", totals.instructions);
         snap.set_counter("worker.blocks_run", totals.blocks_run);
@@ -2466,7 +2370,7 @@ impl<T: Transport> Driver<T> {
     /// the admission sequence and identical across transports; durations
     /// are wall-clock.
     pub fn trace_spans(&mut self) -> Vec<SpanRecord> {
-        self.telemetry_totals();
+        or_panic(self.try_telemetry_totals());
         self.telemetry.trace_spans()
     }
 
@@ -2487,7 +2391,7 @@ impl<T: Transport> Driver<T> {
     /// shut the worker threads down, and return the final pipeline stats
     /// (with [`PipelineStats::batches_abandoned`] counting the dropped
     /// queue).  This is the observable form of the `Drop` path; use
-    /// [`ThreadedCluster::flush`] first if queued batches must be applied.
+    /// [`Driver::try_flush`] first if queued batches must be applied.
     pub fn close(mut self) -> PipelineStats {
         self.abandon_queue();
         self.shutdown_workers();
@@ -3112,47 +3016,10 @@ mod tests {
     }
 
     #[test]
-    fn fifo_compat_matches_tagged_bit_for_bit() {
-        // The FIFO-compat schedule (drain the window before every fetch,
-        // one scatter message per statement) and the tagged schedule run
-        // the same trigger sequence over the same per-worker command
-        // order, so their states must be bit-identical.
-        for opt in [OptLevel::O0, OptLevel::O3] {
-            let mut tagged = ThreadedCluster::pipelined(
-                example_dplan(opt),
-                3,
-                PipelineConfig::with_coalesce(64),
-            );
-            let mut fifo = ThreadedCluster::pipelined(
-                example_dplan(opt),
-                3,
-                PipelineConfig {
-                    coalesce_tuples: 64,
-                    ..PipelineConfig::fifo_compat()
-                },
-            );
-            for (rel, batch) in batches() {
-                tagged.apply_batch(rel, &batch);
-                fifo.apply_batch(rel, &batch);
-            }
-            tagged.flush();
-            fifo.flush();
-            assert_eq!(
-                tagged.query_result().checksum(),
-                fifo.query_result().checksum(),
-                "fifo-compat diverged from tagged at {opt:?}"
-            );
-            // The FIFO arm never overlaps a gather and never batches.
-            assert_eq!(fifo.stats.gathers_overlapped, 0);
-            assert_eq!(fifo.stats.scatter_messages_saved, 0);
-        }
-    }
-
-    #[test]
-    fn async_gather_overlaps_inflight_blocks() {
+    fn gathers_overlap_inflight_blocks() {
         // Eager per-batch execution with a roomy window: by the time batch
         // k's repart/gather fetches, blocks of earlier batches are still
-        // pending, so the tagged schedule must record overlapped gathers.
+        // pending, so the driver must record overlapped gathers.
         let config = PipelineConfig {
             coalesce_tuples: 0,
             admit_capacity: 0,

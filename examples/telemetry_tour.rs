@@ -1,7 +1,7 @@
 //! Tour of the observability layer: run a pipelined threaded cluster over
 //! a TPC-H stream, then read the three telemetry surfaces —
 //!
-//! 1. the deterministic cross-backend totals (`telemetry_totals`),
+//! 1. the deterministic cross-backend totals (`try_telemetry_totals`),
 //! 2. the full metrics registry + recent flight events (`dump_text`,
 //!    the same text a `SIGUSR1` prints mid-run),
 //! 3. the JSONL flight flush (`HOTDOG_TELEMETRY=path`), written when the
@@ -48,7 +48,9 @@ fn main() {
 
     // Surface 1: the deterministic totals — bit-identical on the TCP
     // backend for the same stream.
-    let totals = cluster.telemetry_totals();
+    let totals = cluster
+        .try_telemetry_totals()
+        .expect("no worker died in this single-process tour");
     println!("deterministic cross-backend totals:");
     println!("  messages sent     {:>12}", totals.messages_sent);
     println!("  replies received  {:>12}", totals.replies_received);

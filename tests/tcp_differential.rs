@@ -278,7 +278,8 @@ fn tcp_chaos_seeded_kill_recovers_bit_identically() {
 }
 
 /// Aggressive pipelined configurations over the socket transport: tiny
-/// windows, shuffled reply consumption, FIFO-compat, heavy coalescing —
+/// windows, shuffled reply consumption, the default window without
+/// coalescing, heavy coalescing —
 /// all bit-for-bit (or 1e-9 when coalescing re-associates floats)
 /// against the simulated cluster.
 #[test]
@@ -317,8 +318,6 @@ fn tcp_aggressive_pipeline_configs_agree() {
             false,
             PipelineConfig {
                 coalesce_tuples: 0,
-                async_gather: false,
-                batch_scatters: false,
                 ..Default::default()
             },
         ),

@@ -48,8 +48,8 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
         threaded.apply_stream(&batches);
         tcp.apply_stream(&batches);
 
-        let threaded_totals = threaded.telemetry_totals();
-        let tcp_totals = tcp.telemetry_totals();
+        let threaded_totals = threaded.try_telemetry_totals().expect("telemetry totals");
+        let tcp_totals = tcp.try_telemetry_totals().expect("telemetry totals");
         assert_eq!(
             threaded_totals, tcp_totals,
             "{} {opt:?} x{workers}: telemetry totals diverged threaded vs TCP",
@@ -117,14 +117,20 @@ fn telemetry_totals_agree_pipelined_fixed_coalesce() {
     threaded.apply_stream(&batches);
     tcp.apply_stream(&batches);
 
-    let first = (threaded.telemetry_totals(), tcp.telemetry_totals());
+    let first = (
+        threaded.try_telemetry_totals().expect("telemetry totals"),
+        tcp.try_telemetry_totals().expect("telemetry totals"),
+    );
     assert_eq!(
         first.0, first.1,
         "pipelined totals diverged threaded vs TCP"
     );
     assert!(first.0.instructions > 0);
 
-    let second = (threaded.telemetry_totals(), tcp.telemetry_totals());
+    let second = (
+        threaded.try_telemetry_totals().expect("telemetry totals"),
+        tcp.try_telemetry_totals().expect("telemetry totals"),
+    );
     assert_eq!(second.0, second.1, "repeated gathers diverged");
     assert_eq!(
         second.0.messages_sent,
@@ -167,8 +173,8 @@ fn fault_counters_match_the_plan_exactly() {
     threaded.apply_stream(&batches);
     tcp.apply_stream(&batches);
     assert_eq!(
-        threaded.telemetry_totals(),
-        tcp.telemetry_totals(),
+        threaded.try_telemetry_totals().expect("telemetry totals"),
+        tcp.try_telemetry_totals().expect("telemetry totals"),
         "totals diverged threaded vs TCP with checkpointing enabled"
     );
     let threaded_snap = threaded.metrics_snapshot();
@@ -358,7 +364,7 @@ fn worker_cardinalities_are_live() {
     let batches = stream.batches(16);
     let mut threaded = ThreadedCluster::new(compile_for(&q, OptLevel::O3), workers);
     threaded.apply_stream(&batches);
-    let totals = threaded.telemetry_totals();
+    let totals = threaded.try_telemetry_totals().expect("telemetry totals");
     assert_eq!(totals.per_worker.len(), workers);
     let held: u64 = totals
         .per_worker
