@@ -34,8 +34,11 @@ pub trait Catalog {
 
     /// Iterate over tuples whose columns at `positions` equal `key_vals`.
     ///
-    /// The default implementation scans and filters; storage backends
-    /// override it with secondary-index lookups.
+    /// The default implementation scans and filters; only [`MapCatalog`]
+    /// uses it.  The engine's catalogs override it with hash lookups (a
+    /// record pool's secondary index, or a per-statement index over an
+    /// exchange buffer or update batch) that emit the same tuples in the
+    /// same order.
     fn slice(
         &self,
         name: &str,

@@ -1,10 +1,13 @@
 //! Criterion micro-benchmarks for the core building blocks: record-pool
-//! operations, delta derivation, domain extraction, and trigger application
-//! at different batch sizes.
+//! operations, exchange-buffer probes, delta derivation, domain extraction,
+//! and trigger application at different batch sizes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hotdog::algebra::eval::Catalog;
+use hotdog::distributed::{NodeCatalog, Temps};
 use hotdog::ivm::Strategy;
 use hotdog::prelude::*;
+use std::collections::HashMap;
 
 fn bench_record_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("record_pool");
@@ -39,6 +42,45 @@ fn bench_record_pool(c: &mut Criterion) {
     });
     g.bench_function("point_lookup", |b| {
         b.iter(|| pool.get(&Tuple::from_values([Value::Long(77), Value::Long(77 % 37)])))
+    });
+    g.finish();
+}
+
+/// One statement's probes into an exchange buffer: a fresh catalog (so the
+/// per-statement slice index is built inside the measurement) sliced by
+/// 2k driving keys over a 20k-row temp, 10 matches per key.
+fn bench_node_catalog(c: &mut Criterion) {
+    let mut g = c.benchmark_group("node_catalog");
+    let db = Database::default();
+    let deltas = HashMap::new();
+    let mut temps = Temps::new();
+    temps.insert(
+        "repartition_1".into(),
+        Relation::from_pairs(
+            Schema::new(["K", "V"]),
+            (0..20_000i64).map(|i| {
+                (
+                    Tuple::from_values([Value::Long(i % 2_000), Value::Long(i)]),
+                    1.0,
+                )
+            }),
+        ),
+    );
+    g.bench_function("slice_exchange_buffer", |b| {
+        b.iter(|| {
+            let cat = NodeCatalog::new(&db, &temps, &deltas);
+            let mut acc = 0.0;
+            for k in 0..2_000i64 {
+                cat.slice(
+                    "repartition_1",
+                    RelKind::View,
+                    &[0],
+                    &[Value::Long(k)],
+                    &mut |_, m| acc += m,
+                );
+            }
+            acc
+        })
     });
     g.finish();
 }
@@ -88,6 +130,7 @@ fn bench_trigger_execution(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_record_pool,
+    bench_node_catalog,
     bench_compiler,
     bench_trigger_execution
 );

@@ -19,7 +19,7 @@ use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::Mult;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
-use hotdog_exec::Database;
+use hotdog_exec::{Database, SliceIndex};
 use hotdog_ivm::{MaintenancePlan, StmtOp};
 use hotdog_telemetry::trace::WorkerTracer;
 use std::collections::{HashMap, HashSet};
@@ -239,11 +239,7 @@ impl WorkerState {
     ) {
         if let DistStmtKind::Compute(expr) = &stmt.kind {
             let result = {
-                let cat = NodeCatalog {
-                    db: &self.db,
-                    temps: &self.temps,
-                    deltas,
-                };
+                let cat = NodeCatalog::new(&self.db, &self.temps, deltas);
                 // Columnar fast path first (bit-identical results and
                 // counters); row interpreter for unsupported shapes.
                 let mut ev_counters = EvalCounters::default();
@@ -324,11 +320,27 @@ impl WorkerState {
 
 /// Catalog adapter resolving `Delta` references against the in-flight batch,
 /// temps against the node's exchange buffers, and everything else against
-/// the node's view partitions.
+/// the node's view partitions.  Slices of a delta or a temp go through the
+/// catalog's per-statement [`SliceIndex`]; slices of a view go through the
+/// record pool's secondary index.
 pub struct NodeCatalog<'a> {
     pub db: &'a Database,
     pub temps: &'a Temps,
     pub deltas: &'a HashMap<String, Relation>,
+    index: SliceIndex<'a>,
+}
+
+impl<'a> NodeCatalog<'a> {
+    /// A catalog for one statement execution; its borrows keep the node's
+    /// state unchanged for as long as its slice index lives.
+    pub fn new(db: &'a Database, temps: &'a Temps, deltas: &'a HashMap<String, Relation>) -> Self {
+        NodeCatalog {
+            db,
+            temps,
+            deltas,
+            index: SliceIndex::default(),
+        }
+    }
 }
 
 impl Catalog for NodeCatalog<'_> {
@@ -377,20 +389,12 @@ impl Catalog for NodeCatalog<'_> {
         match kind {
             RelKind::Delta => {
                 if let Some(rel) = self.deltas.get(name) {
-                    for (t, m) in rel.iter() {
-                        if positions.iter().zip(key_vals).all(|(&p, v)| t.get(p) == v) {
-                            f(t, m);
-                        }
-                    }
+                    self.index.slice(rel, positions, key_vals, f);
                 }
             }
             _ => {
                 if let Some(rel) = self.temps.get(name) {
-                    for (t, m) in rel.iter() {
-                        if positions.iter().zip(key_vals).all(|(&p, v)| t.get(p) == v) {
-                            f(t, m);
-                        }
-                    }
+                    self.index.slice(rel, positions, key_vals, f);
                 } else if let Some(pool) = self.db.pool(name) {
                     pool.slice(positions, key_vals, f);
                 }
@@ -460,6 +464,83 @@ mod tests {
         let buffered = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![2], 5.0)]);
         node.temps.insert("Q".into(), buffered.clone());
         assert!(node.read("Q").approx_eq(&buffered));
+    }
+
+    /// Forwards `scan`/`lookup` and keeps the trait's default `slice`: the
+    /// filtered scan the slice index replaces.
+    struct FilteredScan<'a>(&'a NodeCatalog<'a>);
+
+    impl Catalog for FilteredScan<'_> {
+        fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
+            self.0.scan(name, kind, f)
+        }
+
+        fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult {
+            self.0.lookup(name, kind, key)
+        }
+    }
+
+    /// `(tuple, multiplicity bits)` in iteration order.
+    fn contents(rel: &Relation) -> Vec<(Tuple, u64)> {
+        rel.iter().map(|(t, m)| (t.clone(), m.to_bits())).collect()
+    }
+
+    #[test]
+    fn exchange_buffer_probes_match_the_filtered_scan() {
+        let plan = plan();
+        let db = Database::for_plan(&plan);
+        let mut temps = Temps::new();
+        // A scattered batch joined against a broadcast temp on B, with
+        // multiplicities whose sums depend on accumulation order.
+        temps.insert(
+            "scatter_1".into(),
+            Relation::from_pairs(
+                Schema::new(["A", "B"]),
+                (0..200i64).map(|a| (tuple![a, a % 7], 0.1 * (a + 1) as f64)),
+            ),
+        );
+        temps.insert(
+            "repartition_2".into(),
+            Relation::from_pairs(
+                Schema::new(["B", "C"]),
+                (0..7i64).flat_map(|b| {
+                    (0..30i64).map(move |c| (tuple![b, c], 1.0 / (b + c + 3) as f64))
+                }),
+            ),
+        );
+        let deltas = HashMap::new();
+        // Grouping by the driving row's A sums each row's matches in
+        // emission order, so the bucket order shows in the result bits.
+        let expr = sum(
+            ["A"],
+            join(
+                view("scatter_1", ["A", "B"]),
+                view("repartition_2", ["B", "C"]),
+            ),
+        );
+
+        let run = |cat: &dyn Catalog| {
+            let mut columnar = EvalCounters::default();
+            let plan = hotdog_exec::vectorized::compile(&expr).expect("supported shape");
+            let fast = plan.execute(cat, &mut columnar);
+            let mut ev = Evaluator::new(cat);
+            let row = ev.eval(&expr);
+            (fast, columnar, row, ev.counters)
+        };
+        let node = NodeCatalog::new(&db, &temps, &deltas);
+        let (fast, fast_counters, row, row_counters) = run(&node);
+        let reference_node = NodeCatalog::new(&db, &temps, &deltas);
+        let (ref_fast, ref_fast_counters, ref_row, ref_row_counters) =
+            run(&FilteredScan(&reference_node));
+
+        assert_eq!(fast.len(), 200);
+        assert_eq!(fast.checksum(), ref_fast.checksum());
+        assert_eq!(contents(&fast), contents(&ref_fast));
+        assert_eq!(fast_counters, ref_fast_counters);
+        assert_eq!(row.checksum(), ref_row.checksum());
+        assert_eq!(contents(&row), contents(&ref_row));
+        assert_eq!(row_counters, ref_row_counters);
+        assert!(fast_counters.slices > 0 && row_counters.slices > 0);
     }
 
     #[test]

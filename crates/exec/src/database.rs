@@ -5,6 +5,7 @@
 
 use hotdog_algebra::eval::Catalog;
 use hotdog_algebra::expr::RelKind;
+use hotdog_algebra::hash::DetState;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::Mult;
 use hotdog_algebra::schema::Schema;
@@ -12,7 +13,9 @@ use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use hotdog_ivm::MaintenancePlan;
 use hotdog_storage::{PoolCounters, RecordPool};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Storage for all materialized views of one maintenance plan.
 #[derive(Clone, Debug, Default)]
@@ -153,10 +156,25 @@ impl Database {
 }
 
 /// Catalog adapter: resolves `View` references against the database pools
-/// and `Delta` references against the current batch.
+/// and `Delta` references against the current batch.  Slices of a delta go
+/// through the catalog's [`SliceIndex`]; slices of a view go through the
+/// record pool's secondary index.
 pub struct ExecCatalog<'a> {
     pub db: &'a Database,
     pub deltas: &'a HashMap<String, Relation>,
+    index: SliceIndex<'a>,
+}
+
+impl<'a> ExecCatalog<'a> {
+    /// A catalog for one statement execution; its borrows keep the views and
+    /// the batch unchanged for as long as its slice index lives.
+    pub fn new(db: &'a Database, deltas: &'a HashMap<String, Relation>) -> Self {
+        ExecCatalog {
+            db,
+            deltas,
+            index: SliceIndex::default(),
+        }
+    }
 }
 
 impl Catalog for ExecCatalog<'_> {
@@ -195,11 +213,7 @@ impl Catalog for ExecCatalog<'_> {
         match kind {
             RelKind::Delta => {
                 if let Some(rel) = self.deltas.get(name) {
-                    for (t, m) in rel.iter() {
-                        if positions.iter().zip(key_vals).all(|(&p, v)| t.get(p) == v) {
-                            f(t, m);
-                        }
-                    }
+                    self.index.slice(rel, positions, key_vals, f);
                 }
             }
             _ => {
@@ -208,6 +222,77 @@ impl Catalog for ExecCatalog<'_> {
                 }
             }
         }
+    }
+}
+
+/// One relation's hash index over one column list: each key's matches, in
+/// the relation's iteration order.
+type Buckets<'a> = HashMap<Vec<Value>, Vec<(&'a Tuple, Mult)>, DetState>;
+
+/// A built index: the relation, its key columns and its buckets.
+type Built<'a> = (&'a Relation, Vec<usize>, Rc<Buckets<'a>>);
+
+/// Lazily built hash indexes over borrowed [`Relation`]s: the build side of
+/// a hash join whose input is an exchange buffer or an update batch rather
+/// than a record pool.
+///
+/// The first [`slice`](SliceIndex::slice) of a relation over a column list
+/// groups the whole relation by those columns, filling each bucket in
+/// [`Relation::iter`] order; later slices with the same relation and
+/// columns are one hash lookup.  A bucket therefore lists its matches in
+/// exactly the order a filtered scan of `rel.iter()` would emit them, so
+/// callers see the same tuples, multiplicities and float operation order
+/// as the default [`Catalog::slice`].  Keys compare with [`Value`]'s
+/// equality, as the record pool's secondary indexes do.
+///
+/// A relation is identified by address.  The index borrows every relation
+/// it has seen for `'a`, so none of them can change or move while it lives
+/// and an entry never goes stale; a catalog owns one per statement
+/// execution and drops it with the statement.
+#[derive(Default)]
+pub struct SliceIndex<'a> {
+    built: RefCell<Vec<Built<'a>>>,
+}
+
+impl<'a> SliceIndex<'a> {
+    /// Call `f` for every tuple of `rel` whose columns at `positions` equal
+    /// `key_vals`, in `rel.iter()` order.
+    ///
+    /// `f` may itself slice through this index (the row interpreter nests
+    /// one join level inside the previous level's callback): no borrow of
+    /// the index is held while `f` runs.
+    pub fn slice(
+        &self,
+        rel: &'a Relation,
+        positions: &[usize],
+        key_vals: &[Value],
+        f: &mut dyn FnMut(&Tuple, Mult),
+    ) {
+        debug_assert_eq!(positions.len(), key_vals.len());
+        if let Some(bucket) = self.buckets(rel, positions).get(key_vals) {
+            for &(t, m) in bucket {
+                f(t, m);
+            }
+        }
+    }
+
+    /// The index of `rel` over `positions`, built on first use.
+    fn buckets(&self, rel: &'a Relation, positions: &[usize]) -> Rc<Buckets<'a>> {
+        let mut built = self.built.borrow_mut();
+        if let Some((_, _, buckets)) = built
+            .iter()
+            .find(|(r, p, _)| std::ptr::eq(*r, rel) && p == positions)
+        {
+            return Rc::clone(buckets);
+        }
+        let mut buckets = Buckets::default();
+        for (t, m) in rel.iter() {
+            let key = positions.iter().map(|&p| t.get(p).clone()).collect();
+            buckets.entry(key).or_default().push((t, m));
+        }
+        let buckets = Rc::new(buckets);
+        built.push((rel, positions.to_vec(), Rc::clone(&buckets)));
+        buckets
     }
 }
 
@@ -270,6 +355,111 @@ mod tests {
         assert_eq!(db.total_records(), 1);
     }
 
+    /// `(tuple, multiplicity bits)` emitted by one slice, in emission order.
+    fn probe<'a>(
+        index: &SliceIndex<'a>,
+        rel: &'a Relation,
+        positions: &[usize],
+        key: &[Value],
+    ) -> Vec<(Tuple, u64)> {
+        let mut out = Vec::new();
+        // Probe twice: the first call builds the index, the second reuses it.
+        for _ in 0..2 {
+            out.clear();
+            index.slice(rel, positions, key, &mut |t, m| {
+                out.push((t.clone(), m.to_bits()))
+            });
+        }
+        out
+    }
+
+    /// The default `Catalog::slice`: a filtered scan of `rel.iter()`.
+    fn filtered_scan(rel: &Relation, positions: &[usize], key: &[Value]) -> Vec<(Tuple, u64)> {
+        rel.iter()
+            .filter(|(t, _)| positions.iter().zip(key).all(|(&p, v)| t.get(p) == v))
+            .map(|(t, m)| (t.clone(), m.to_bits()))
+            .collect()
+    }
+
+    fn three_column_relation() -> Relation {
+        let mut rel = Relation::new(Schema::new(["A", "B", "C"]));
+        for i in 0..60i64 {
+            rel.add(tuple![i % 4, i % 3, i], 0.1 * (i + 1) as f64);
+        }
+        rel
+    }
+
+    #[test]
+    fn slice_index_matches_filtered_scan_on_one_column() {
+        let rel = three_column_relation();
+        let index = SliceIndex::default();
+        for k in 0..4i64 {
+            let key = [Value::Long(k)];
+            let got = probe(&index, &rel, &[0], &key);
+            // Each key matches several rows.
+            assert_eq!(got.len(), 15);
+            assert_eq!(got, filtered_scan(&rel, &[0], &key));
+        }
+        assert!(probe(&index, &rel, &[0], &[Value::Long(99)]).is_empty());
+    }
+
+    #[test]
+    fn slice_index_matches_filtered_scan_on_several_columns() {
+        let rel = three_column_relation();
+        let index = SliceIndex::default();
+        for (a, b) in [(0i64, 0i64), (1, 2), (3, 1)] {
+            let key = [Value::Long(a), Value::Long(b)];
+            let got = probe(&index, &rel, &[0, 1], &key);
+            assert_eq!(got.len(), 5);
+            assert_eq!(got, filtered_scan(&rel, &[0, 1], &key));
+            // Same columns in the other order: a separate index.
+            let rev = [Value::Long(b), Value::Long(a)];
+            assert_eq!(probe(&index, &rel, &[1, 0], &rev), got);
+        }
+        // A key absent from the relation.
+        let absent = [Value::Long(0), Value::Long(7)];
+        assert!(probe(&index, &rel, &[0, 1], &absent).is_empty());
+        assert!(filtered_scan(&rel, &[0, 1], &absent).is_empty());
+    }
+
+    #[test]
+    fn slice_index_skips_entries_cancelled_to_zero() {
+        let mut rel = three_column_relation();
+        for i in (0..60i64).step_by(2) {
+            rel.add(tuple![i % 4, i % 3, i], -0.1 * (i + 1) as f64);
+        }
+        assert_eq!(rel.len(), 30);
+        let index = SliceIndex::default();
+        for k in 0..4i64 {
+            let key = [Value::Long(k)];
+            assert_eq!(
+                probe(&index, &rel, &[0], &key),
+                filtered_scan(&rel, &[0], &key)
+            );
+        }
+        // Keys 0 and 2 only ever appeared on cancelled rows.
+        assert!(probe(&index, &rel, &[0], &[Value::Long(2)]).is_empty());
+    }
+
+    #[test]
+    fn slice_index_keeps_relations_apart_and_allows_nested_probes() {
+        let outer = three_column_relation();
+        let inner = Relation::from_pairs(
+            Schema::new(["A", "D"]),
+            (0..8i64).map(|i| (tuple![i % 4, i], 1.5)),
+        );
+        let index = SliceIndex::default();
+        let mut pairs = 0;
+        index.slice(&outer, &[0], &[Value::Long(1)], &mut |t, _| {
+            // A probe into another relation from inside the callback, as
+            // the row interpreter's nested join loop does.
+            index.slice(&inner, &[0], std::slice::from_ref(t.get(0)), &mut |_, _| {
+                pairs += 1
+            });
+        });
+        assert_eq!(pairs, 15 * 2);
+    }
+
     #[test]
     fn exec_catalog_routes_delta_and_view_kinds() {
         let plan = sample_plan();
@@ -283,10 +473,7 @@ mod tests {
             "R".to_string(),
             Relation::from_pairs(Schema::new(["A", "B"]), vec![(tuple![1, 5], 1.0)]),
         );
-        let cat = ExecCatalog {
-            db: &db,
-            deltas: &deltas,
-        };
+        let cat = ExecCatalog::new(&db, &deltas);
         assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5]), 7.0);
         assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![1, 5]), 1.0);
         let mut n = 0;

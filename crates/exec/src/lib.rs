@@ -25,6 +25,6 @@ pub mod database;
 pub mod engine;
 pub mod vectorized;
 
-pub use database::{Database, ExecCatalog};
+pub use database::{Database, ExecCatalog, SliceIndex};
 pub use engine::{relabel, used_delta_columns, BatchStats, EngineTotals, ExecMode, LocalEngine};
 pub use vectorized::{columnar_enabled, eval_vectorized, set_columnar, VectorPlan};

@@ -16,8 +16,10 @@
 //! ([`ColumnarBatch`]-style `Vec<Value>` columns), using the kernels of
 //! `hotdog_storage::columnar` (`compact_column` for filters,
 //! `gather_column` for probe fan-out).  Hash-join probes still go through
-//! the [`Catalog`] — i.e. through the `hotdog-storage` record pool and its
-//! secondary hash indexes, which *are* the join's build side.
+//! the [`Catalog`], whose hash indexes *are* the join's build side: a
+//! record pool's secondary indexes for views, and the catalog's
+//! per-statement [`SliceIndex`](crate::SliceIndex) for exchange buffers
+//! and update batches.
 //!
 //! # Bit-for-bit parity
 //!
@@ -220,9 +222,10 @@ enum Step {
         key_slots: Vec<usize>,
     },
     /// Relation term with some (or no) columns bound: per-row slice through
-    /// the catalog (the record pool's secondary hash index — the hash join's
-    /// build side) fanning out into fresh columns; previously bound columns
-    /// are gathered through the fan-out index.
+    /// the catalog (a record pool's secondary hash index, or the per-statement
+    /// [`SliceIndex`](crate::SliceIndex) over an exchange buffer or delta —
+    /// the hash join's build side) fanning out into fresh columns; previously
+    /// bound columns are gathered through the fan-out index.
     Probe {
         name: String,
         kind: RelKind,
@@ -431,13 +434,11 @@ impl VectorPlan {
         counters.scans += 1;
         {
             let mut visited = 0u64;
-            let (slot_refs, rest) = cols.split_at_mut(0);
-            let _ = slot_refs;
             let slots = &self.source_slots;
             let mut row = |t: &Tuple, m: Mult| {
                 visited += 1;
                 for (j, &slot) in slots.iter().enumerate() {
-                    rest[slot].push(t.get(j).clone());
+                    cols[slot].push(t.get(j).clone());
                 }
                 mults.push(m);
             };
