@@ -556,6 +556,9 @@ impl AdaptiveStreamComparison {
 }
 
 /// Run the static-vs-adaptive comparison for one query on a phased stream.
+/// Wall-clock throughput on a shared host swings between back-to-back
+/// runs, so the four arms run in three alternating rounds and each arm is
+/// represented by its median-throughput run, as in [`compare_columnar`].
 pub fn compare_adaptive_stream(
     q: &CatalogQuery,
     workers: usize,
@@ -584,12 +587,24 @@ pub fn compare_adaptive_stream(
         ),
         ("adaptive".into(), BackendKind::Adaptive),
     ];
+    const REPEATS: usize = 3;
+    let mut arm_runs: Vec<Vec<DistRun>> = vec![Vec::with_capacity(REPEATS); arms.len()];
+    for _ in 0..REPEATS {
+        for ((_, kind), runs) in arms.iter().zip(&mut arm_runs) {
+            runs.push(run_distributed_batches(
+                q,
+                &batches,
+                workers,
+                0,
+                OptLevel::O3,
+                *kind,
+            ));
+        }
+    }
     let runs = arms
         .into_iter()
-        .map(|(label, kind)| {
-            let run = run_distributed_batches(q, &batches, workers, 0, OptLevel::O3, kind);
-            (label, run)
-        })
+        .zip(arm_runs)
+        .map(|((label, _), runs)| (label, median_run(runs)))
         .collect();
     AdaptiveStreamComparison {
         query: q.id.to_string(),
@@ -800,17 +815,13 @@ pub fn compare_net_overhead(
             BackendKind::Tcp,
         ));
     }
-    let median = |mut runs: Vec<DistRun>| -> DistRun {
-        runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-        runs.swap_remove(REPEATS / 2)
-    };
     NetOverheadComparison {
         query: q.id.to_string(),
         workers,
         n_batches,
         tuples_per_batch,
-        threaded: median(threaded_runs),
-        tcp: median(tcp_runs),
+        threaded: median_run(threaded_runs),
+        tcp: median_run(tcp_runs),
     }
 }
 
@@ -893,18 +904,20 @@ pub fn compare_columnar(
         ));
     }
     hotdog::exec::set_columnar(true);
-    let median = |mut runs: Vec<DistRun>| -> DistRun {
-        runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-        runs.swap_remove(REPEATS / 2)
-    };
     ColumnarComparison {
         query: q.id.to_string(),
         workers,
         n_batches,
         tuples_per_batch,
-        row: median(row_runs),
-        columnar: median(col_runs),
+        row: median_run(row_runs),
+        columnar: median_run(col_runs),
     }
+}
+
+/// The median-throughput run of an odd number of repeats of one arm.
+fn median_run(mut runs: Vec<DistRun>) -> DistRun {
+    runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
+    runs.swap_remove(runs.len() / 2)
 }
 
 /// Print a plain-text table: header row then rows, columns padded.

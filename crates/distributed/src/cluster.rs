@@ -359,9 +359,9 @@ impl Cluster {
                     collected.merge(&relabel(&self.workers[w].read(source), &stmt.target_schema));
                 }
                 self.telemetry.finish_span(span);
-                let moved = collected.serialized_size();
-                self.scatter(pf, &collected, stmt);
-                moved + collected.serialized_size()
+                // Every worker's piece travels to the driver, then each
+                // shard out again (once per worker when replicated).
+                collected.serialized_size() + self.scatter(pf, &collected, stmt)
             }
             Transform::Gather => {
                 let span = self.telemetry.begin_span(self.trace_scope, "gather");

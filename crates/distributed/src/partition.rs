@@ -97,10 +97,12 @@ impl fmt::Display for LocTag {
 }
 
 /// The partitioning specification of a maintenance plan: a location tag per
-/// materialized view.
+/// materialized view, plus the candidate key columns in decreasing
+/// cardinality order when the spec came from [`PartitioningSpec::heuristic`].
 #[derive(Clone, Debug, Default)]
 pub struct PartitioningSpec {
     tags: HashMap<String, LocTag>,
+    ranked_keys: Vec<String>,
 }
 
 impl PartitioningSpec {
@@ -130,7 +132,10 @@ impl PartitioningSpec {
     /// `ranked_keys` lists candidate key columns in decreasing cardinality
     /// order, using the variable names of the query (e.g. `["OK", "CK"]`).
     pub fn heuristic(plan: &MaintenancePlan, ranked_keys: &[&str]) -> Self {
-        let mut spec = PartitioningSpec::new();
+        let mut spec = PartitioningSpec {
+            ranked_keys: ranked_keys.iter().map(|k| k.to_string()).collect(),
+            ..PartitioningSpec::default()
+        };
         for v in &plan.views {
             let chosen = ranked_keys.iter().find(|k| v.schema.contains(k));
             match chosen {
@@ -139,6 +144,21 @@ impl PartitioningSpec {
             }
         }
         spec
+    }
+
+    /// Relative size of a view, used to weigh what a statement would move:
+    /// a view partitioned on the key of rank `r` (1 = highest cardinality)
+    /// out of `n` ranked keys weighs `n + 1 - r`, so views keyed on larger
+    /// tables count for more.  Views on an unranked key, and every view of
+    /// a spec built without ranks, weigh 1.
+    pub(crate) fn weight(&self, view: &str) -> usize {
+        let rank = match self.tag(view) {
+            LocTag::Dist(PartitionFn::ByColumns(cols)) if cols.len() == 1 => {
+                self.ranked_keys.iter().position(|k| *k == cols[0])
+            }
+            _ => None,
+        };
+        rank.map_or(1, |i| self.ranked_keys.len() - i)
     }
 
     /// Number of distributed views in the spec.

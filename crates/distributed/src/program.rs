@@ -1,9 +1,15 @@
 //! Compilation of local maintenance programs into distributed programs
 //! (Section 4): location annotation, insertion of location transformers
-//! (`Scatter`, `Repart`, `Gather`), intra-statement optimization (choosing
-//! the execution partitioning that minimizes communication rounds),
+//! (`Scatter`, `Repart`, `Gather`), intra-statement optimization,
 //! single-transformer form, CSE/DCE of transformer statements, and the
 //! block fusion algorithm of Appendix C.3.
+//!
+//! The intra-statement optimization picks each statement's execution
+//! partitioning by what it would ship.  Every materialized view that is
+//! not on the chosen key moves whole (re-partitioned or replicated), while
+//! the batch and the statement's result are delta-sized, so the choice
+//! minimizes the weighted views moved first and the delta-sized moves
+//! second: a trigger's traffic scales with its batch, not with the state.
 
 use crate::partition::{LocTag, PartitionFn, PartitioningSpec};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
@@ -19,8 +25,10 @@ pub enum OptLevel {
     /// Naive well-formed program: no simplifications, one block per
     /// statement, no sharing of transformer outputs.
     O0,
-    /// + transformer simplification rules (choose the execution partitioning
-    ///   that avoids redundant Repart/Gather rounds).
+    /// + transformer simplification rules: each statement executes on the
+    ///   candidate key (the target's, or a distributed input's) that moves
+    ///   the fewest whole views, weighted by key cardinality, then the
+    ///   fewest batch-sized scatters and result re-partitions.
     O1,
     /// + block fusion (merge commuting statements into compound blocks).
     O2,
@@ -321,10 +329,53 @@ impl Lowering<'_> {
         name
     }
 
+    fn view_schema(&self, name: &str) -> Schema {
+        self.plan
+            .view(name)
+            .map(|v| v.schema.clone())
+            .unwrap_or_default()
+    }
+
+    /// What a statement executed on `key` moves, as `(state, delta)`,
+    /// compared lexicographically.  *State* sums
+    /// [`PartitioningSpec::weight`] over the distributed inputs that are
+    /// not on `key` and that this trigger has not already shipped (by that
+    /// key or replicated; `shipped` is the trigger's transformer cache).
+    /// *Delta* counts the batch-sized moves: a scatter of the batch by a
+    /// partitioning this trigger has not scattered yet (`trigger` is `None`
+    /// when the statement does not read the batch), and a re-partition of
+    /// the result when `key` is not the target's.
+    fn movement_cost(
+        &self,
+        key: &[String],
+        dist_refs: &[(&RelRef, Vec<String>)],
+        target_cols: Option<&Vec<String>>,
+        trigger: Option<&hotdog_ivm::Trigger>,
+        shipped: &HashMap<String, String>,
+    ) -> (usize, usize) {
+        let state = dist_refs
+            .iter()
+            .filter(|(r, cols)| {
+                let by_key = move_fn(&self.view_schema(&r.name), key);
+                cols.as_slice() != key
+                    && !shipped.contains_key(&repart_cache_key(&r.name, &by_key))
+                    && !shipped.contains_key(&repart_cache_key(&r.name, &PartitionFn::Replicate))
+            })
+            .map(|(r, _)| self.spec.weight(&r.name))
+            .sum();
+        let scatter = trigger.is_some_and(|t| {
+            let pf = scatter_fn(&t.relation_schema, key);
+            !shipped.contains_key(&scatter_cache_key(&t.relation, &pf))
+        });
+        let result_moves = target_cols.is_some_and(|tc| tc.as_slice() != key);
+        (state, usize::from(scatter) + usize::from(result_moves))
+    }
+
     fn lower_trigger(&mut self, trigger: &hotdog_ivm::Trigger) -> TriggerProgram {
         let mut statements: Vec<DistStatement> = Vec::new();
-        // Cache of scatter/broadcast/repart temps created for this trigger
-        // (used for CSE at O3; at lower levels every use gets its own copy).
+        // Cache of scatter/broadcast/repart temps created for this trigger:
+        // what it has already shipped (read by `movement_cost` at O1+) and
+        // the temps CSE shares at O3 (below O3 every use gets its own copy).
         let mut scatter_cache: HashMap<String, String> = HashMap::new();
 
         for stmt in &trigger.statements {
@@ -394,12 +445,14 @@ impl Lowering<'_> {
             return;
         }
 
-        // Choose the execution partitioning.  The intra-statement
-        // optimization (O1+) prefers the *target's* partitioning whenever
-        // some input can be brought to it directly, avoiding a second
-        // communication round on the result (Example 4.1); the naive O0
-        // program always executes on the first input's partitioning and
-        // re-partitions the result.
+        // Choose the execution partitioning.  The naive O0 program always
+        // executes on the first input's partitioning and re-partitions the
+        // result.  From O1 on, the candidates are the target's key (when
+        // some input can be brought to it directly, Example 4.1) and each
+        // distributed input's key; the one with the lowest
+        // `movement_cost` wins: first the fewest (weighted) whole views
+        // shipped, then the fewest batch-sized moves.  Ties keep the
+        // earliest candidate: the target's key, else the first input's.
         let target_cols: Option<Vec<String>> = match &target_tag {
             LocTag::Dist(p) => Some(p.columns().to_vec()),
             _ => None,
@@ -411,21 +464,38 @@ impl Lowering<'_> {
             dist_refs.iter().any(|(_, c)| c == cols)
                 || (uses_delta && cols.iter().all(|c| delta_schema.contains(c)))
         };
-        let exec_key: Vec<String> = if self.opt >= OptLevel::O1 {
-            match &target_cols {
-                Some(tc) if key_usable(tc) => tc.clone(),
-                _ => dist_refs
-                    .first()
-                    .map(|(_, c)| c.clone())
-                    .or_else(|| target_cols.clone())
-                    .unwrap_or_default(),
-            }
-        } else {
+        let first_input_key = || {
             dist_refs
                 .first()
                 .map(|(_, c)| c.clone())
                 .or_else(|| target_cols.clone())
                 .unwrap_or_default()
+        };
+        let exec_key: Vec<String> = if self.opt >= OptLevel::O1 {
+            let mut candidates: Vec<Vec<String>> = target_cols
+                .iter()
+                .filter(|tc| key_usable(tc))
+                .cloned()
+                .collect();
+            for (_, c) in &dist_refs {
+                if !candidates.contains(c) {
+                    candidates.push(c.clone());
+                }
+            }
+            candidates
+                .into_iter()
+                .min_by_key(|key| {
+                    self.movement_cost(
+                        key,
+                        &dist_refs,
+                        target_cols.as_ref(),
+                        uses_delta.then_some(trigger),
+                        scatter_cache,
+                    )
+                })
+                .unwrap_or_else(first_input_key)
+        } else {
+            first_input_key()
         };
 
         // Prepare the inputs: re-partition or broadcast views that are not
@@ -441,27 +511,26 @@ impl Lowering<'_> {
                         continue;
                     }
                     // Re-partition (or replicate when the key is not part of
-                    // the view's schema).
-                    let schema = self
-                        .plan
-                        .view(&r.name)
-                        .map(|v| v.schema.clone())
-                        .unwrap_or_default();
-                    let pf = if exec_key.iter().all(|c| schema.contains(c)) && !exec_key.is_empty()
-                    {
-                        any_partitioned_input = true;
-                        PartitionFn::by(exec_key.clone())
-                    } else {
-                        PartitionFn::Replicate
-                    };
-                    let cache_key = format!("repart:{}:{pf}", r.name);
-                    let temp = if self.opt >= OptLevel::O3 {
-                        scatter_cache.get(&cache_key).cloned()
+                    // the view's schema).  With CSE, a copy this trigger
+                    // already shipped by that key or replicated is reused.
+                    let schema = self.view_schema(&r.name);
+                    let pf = move_fn(&schema, &exec_key);
+                    let cache_key = repart_cache_key(&r.name, &pf);
+                    let cached = if self.opt >= OptLevel::O3 {
+                        scatter_cache
+                            .get(&cache_key)
+                            .map(|t| (t.clone(), pf.clone()))
+                            .or_else(|| {
+                                let replicated = repart_cache_key(&r.name, &PartitionFn::Replicate);
+                                scatter_cache
+                                    .get(&replicated)
+                                    .map(|t| (t.clone(), PartitionFn::Replicate))
+                            })
                     } else {
                         None
                     };
-                    let temp = match temp {
-                        Some(t) => t,
+                    let (temp, pf) = match cached {
+                        Some(hit) => hit,
                         None => {
                             let tag = match &pf {
                                 PartitionFn::Replicate => LocTag::Replicated,
@@ -473,24 +542,23 @@ impl Lowering<'_> {
                                 target_schema: schema,
                                 op: StmtOp::SetTo,
                                 kind: DistStmtKind::Transform {
-                                    kind: Transform::Repart(pf),
+                                    kind: Transform::Repart(pf.clone()),
                                     source: r.name.clone(),
                                 },
                                 mode: StmtMode::Local,
                             });
                             scatter_cache.insert(cache_key, t.clone());
-                            t
+                            (t, pf)
                         }
                     };
+                    if pf != PartitionFn::Replicate {
+                        any_partitioned_input = true;
+                    }
                     expr = rename_view(&expr, &r.name, &temp);
                 }
                 LocTag::Local => {
                     // Broadcast a driver-resident view so workers can read it.
-                    let schema = self
-                        .plan
-                        .view(&r.name)
-                        .map(|v| v.schema.clone())
-                        .unwrap_or_default();
+                    let schema = self.view_schema(&r.name);
                     let cache_key = format!("bcast:{}", r.name);
                     let temp = if self.opt >= OptLevel::O3 {
                         scatter_cache.get(&cache_key).cloned()
@@ -524,18 +592,11 @@ impl Lowering<'_> {
 
         // Scatter the update batch to the workers.
         if uses_delta {
-            let pf = if !exec_key.is_empty() && exec_key.iter().all(|c| delta_schema.contains(c)) {
+            let pf = scatter_fn(delta_schema, &exec_key);
+            if pf != PartitionFn::Replicate {
                 any_partitioned_input = true;
-                PartitionFn::by(exec_key.clone())
-            } else if exec_key.is_empty() {
-                // No anchoring key: spread the batch (pseudo-)randomly so
-                // every worker aggregates a disjoint fraction of it.
-                any_partitioned_input = true;
-                PartitionFn::by(delta_schema.columns().to_vec())
-            } else {
-                PartitionFn::Replicate
-            };
-            let cache_key = format!("scatter:Δ{}:{pf}", trigger.relation);
+            }
+            let cache_key = scatter_cache_key(&trigger.relation, &pf);
             let temp = if self.opt >= OptLevel::O3 {
                 scatter_cache.get(&cache_key).cloned()
             } else {
@@ -639,6 +700,38 @@ impl Lowering<'_> {
             });
         }
     }
+}
+
+/// How a view that is not on `key` is brought to it: re-partitioned by
+/// `key` when its schema has every key column, replicated otherwise.
+fn move_fn(schema: &Schema, key: &[String]) -> PartitionFn {
+    if !key.is_empty() && key.iter().all(|c| schema.contains(c)) {
+        PartitionFn::by(key.to_vec())
+    } else {
+        PartitionFn::Replicate
+    }
+}
+
+/// How the update batch is scattered for a statement executed on `key`:
+/// by `key` when the batch has every key column, replicated when it does
+/// not, and spread over all its columns when there is no key, so every
+/// worker aggregates a disjoint fraction of it.
+fn scatter_fn(delta_schema: &Schema, key: &[String]) -> PartitionFn {
+    if key.is_empty() {
+        PartitionFn::by(delta_schema.columns().to_vec())
+    } else {
+        move_fn(delta_schema, key)
+    }
+}
+
+/// Transformer-cache keys of one trigger: a view moved by `pf`, and the
+/// trigger's batch scattered by `pf`.
+fn repart_cache_key(view: &str, pf: &PartitionFn) -> String {
+    format!("repart:{view}:{pf}")
+}
+
+fn scatter_cache_key(relation: &str, pf: &PartitionFn) -> String {
+    format!("scatter:Δ{relation}:{pf}")
 }
 
 /// Replace every view reference named `from` with a reference to `to`
@@ -873,6 +966,288 @@ mod tests {
         let (jobs, stages) = dp.complexity();
         assert!((1..=5).contains(&jobs), "jobs {jobs}");
         assert!((1..=10).contains(&stages), "stages {stages}");
+    }
+
+    /// The catalog query's plan at `opt` under the heuristic spec.
+    fn catalog_plan(id: &str, opt: OptLevel) -> DistributedPlan {
+        let q = hotdog_workload::query(id).expect("catalog query");
+        let plan = compile_recursive(q.id, &q.expr);
+        let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+        compile_distributed(&plan, &spec, opt)
+    }
+
+    fn transformers(p: &TriggerProgram) -> Vec<String> {
+        p.statements()
+            .filter(|s| s.is_transformer())
+            .map(|s| s.to_string())
+            .collect()
+    }
+
+    /// `Repart` statements of a program whose source is a materialized
+    /// view (rather than a statement's partial result), as printed.
+    fn view_reparts(dp: &DistributedPlan, p: &TriggerProgram) -> Vec<String> {
+        p.statements()
+            .filter(|s| match &s.kind {
+                DistStmtKind::Transform {
+                    kind: Transform::Repart(_),
+                    source,
+                } => dp.plan.view(source).is_some(),
+                _ => false,
+            })
+            .map(|s| s.to_string())
+            .collect()
+    }
+
+    /// A one-trigger plan on `R(A, B, C)` over hand-declared views, each
+    /// statement `target += expr`.
+    fn hand_plan(views: &[(&str, &[&str])], statements: Vec<(&str, Expr)>) -> MaintenancePlan {
+        let views: Vec<hotdog_ivm::ViewDef> = views
+            .iter()
+            .map(|(name, cols)| hotdog_ivm::ViewDef {
+                name: name.to_string(),
+                schema: Schema::new(cols.iter().copied()),
+                definition: rel(*name, cols.iter().copied()),
+                is_top: false,
+            })
+            .collect();
+        let statements = statements
+            .into_iter()
+            .map(|(target, expr)| hotdog_ivm::Statement {
+                target: target.to_string(),
+                target_schema: views
+                    .iter()
+                    .find(|v| v.name == target)
+                    .unwrap()
+                    .schema
+                    .clone(),
+                op: StmtOp::AddTo,
+                expr,
+            })
+            .collect();
+        MaintenancePlan {
+            query_name: "H".into(),
+            strategy: hotdog_ivm::Strategy::RecursiveIvm,
+            top_view: views[0].name.clone(),
+            views,
+            triggers: vec![hotdog_ivm::Trigger {
+                relation: "R".into(),
+                relation_schema: Schema::new(["A", "B", "C"]),
+                statements,
+            }],
+        }
+    }
+
+    fn dist(cols: &[&str]) -> LocTag {
+        LocTag::Dist(PartitionFn::by(cols.iter().copied()))
+    }
+
+    #[test]
+    fn q7_lineitem_trigger_moves_only_the_supplier_view() {
+        let dp = catalog_plan("Q7", OptLevel::O3);
+        let p = dp.program("LINEITEM").unwrap();
+        let moved = view_reparts(&dp, p);
+        assert_eq!(
+            moved,
+            ["LOCAL repartition_4 := REPARTITION<[*]>{ M2 }"],
+            "{}",
+            p.pretty()
+        );
+        // M2 is the view keyed on the supplier key, the smallest ranked one.
+        assert_eq!(dp.spec.tag("M2"), dist(&["SK"]));
+        // One batch scatter serves every statement of the trigger.
+        let scatters = p
+            .statements()
+            .filter(|s| {
+                matches!(
+                    &s.kind,
+                    DistStmtKind::Transform {
+                        kind: Transform::Scatter(_),
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(scatters, 1, "{}", p.pretty());
+    }
+
+    #[test]
+    fn q3_programs_keep_their_transformers() {
+        let o3 = catalog_plan("Q3", OptLevel::O3);
+        let o3: Vec<Vec<String>> = o3.programs.iter().map(transformers).collect();
+        assert_eq!(
+            o3,
+            [
+                vec![
+                    "LOCAL scatter_1 := SCATTER<[*]>{ ΔCUSTOMER }",
+                    "LOCAL scatter_2 := SCATTER<[CK]>{ ΔCUSTOMER }",
+                ],
+                vec!["LOCAL scatter_3 := SCATTER<[OK]>{ ΔLINEITEM }"],
+                vec![
+                    "LOCAL repartition_4 := REPARTITION<[*]>{ M2 }",
+                    "LOCAL scatter_5 := SCATTER<[OK]>{ ΔORDERS }",
+                ],
+            ]
+        );
+        let o1 = catalog_plan("Q3", OptLevel::O1);
+        let o1: Vec<Vec<String>> = o1.programs.iter().map(transformers).collect();
+        assert_eq!(
+            o1,
+            [
+                vec![
+                    "LOCAL scatter_1 := SCATTER<[*]>{ ΔCUSTOMER }",
+                    "LOCAL scatter_2 := SCATTER<[*]>{ ΔCUSTOMER }",
+                    "LOCAL scatter_3 := SCATTER<[CK]>{ ΔCUSTOMER }",
+                ],
+                vec![
+                    "LOCAL scatter_4 := SCATTER<[OK]>{ ΔLINEITEM }",
+                    "LOCAL scatter_5 := SCATTER<[OK]>{ ΔLINEITEM }",
+                    "LOCAL scatter_6 := SCATTER<[OK]>{ ΔLINEITEM }",
+                ],
+                vec![
+                    "LOCAL repartition_7 := REPARTITION<[*]>{ M2 }",
+                    "LOCAL scatter_8 := SCATTER<[OK]>{ ΔORDERS }",
+                    "LOCAL scatter_9 := SCATTER<[OK]>{ ΔORDERS }",
+                    "LOCAL repartition_10 := REPARTITION<[*]>{ M2 }",
+                    "LOCAL scatter_11 := SCATTER<[OK]>{ ΔORDERS }",
+                    "LOCAL scatter_12 := SCATTER<[OK]>{ ΔORDERS }",
+                ],
+            ]
+        );
+    }
+
+    #[test]
+    fn statement_runs_on_the_view_key_instead_of_broadcasting_the_view() {
+        // T is keyed on A, M on B, and M has no A column: executing on A
+        // would replicate all of M, so the statement runs on B and only its
+        // batch-sized result is re-partitioned to A.
+        let plan = hand_plan(
+            &[("T", &["A", "B"]), ("M", &["B"])],
+            vec![(
+                "T",
+                sum(
+                    ["A", "B"],
+                    join(delta_rel("R", ["A", "B", "C"]), view("M", ["B"])),
+                ),
+            )],
+        );
+        let mut spec = PartitioningSpec::new();
+        spec.set("T", dist(&["A"]));
+        spec.set("M", dist(&["B"]));
+        let dp = compile_distributed(&plan, &spec, OptLevel::O3);
+        let p = dp.program("R").unwrap();
+        assert_eq!(
+            transformers(p),
+            [
+                "LOCAL scatter_1 := SCATTER<[B]>{ ΔR }",
+                "LOCAL T += REPARTITION<[A]>{ partial_2 }",
+            ],
+            "{}",
+            p.pretty()
+        );
+        // O0 keeps its naive choice: the first input's key.
+        let naive = compile_distributed(&plan, &spec, OptLevel::O0);
+        assert!(view_reparts(&naive, naive.program("R").unwrap()).is_empty());
+    }
+
+    #[test]
+    fn view_replicated_earlier_in_a_trigger_is_reused() {
+        // The first statement runs on C and replicates V (no C column); the
+        // second runs on A, where V would be re-partitioned by A, and reads
+        // the replicated copy instead.
+        let plan = hand_plan(
+            &[
+                ("T1", &["C"]),
+                ("T2", &["A"]),
+                ("V", &["A", "B"]),
+                ("W", &["C", "D"]),
+            ],
+            vec![
+                (
+                    "T1",
+                    sum(
+                        ["C"],
+                        join_all([
+                            delta_rel("R", ["A", "B", "C"]),
+                            view("V", ["A", "B"]),
+                            view("W", ["C", "D"]),
+                        ]),
+                    ),
+                ),
+                (
+                    "T2",
+                    sum(
+                        ["A"],
+                        join(delta_rel("R", ["A", "B", "C"]), view("V", ["A", "B"])),
+                    ),
+                ),
+            ],
+        );
+        let mut spec = PartitioningSpec::new();
+        spec.set("T1", dist(&["C"]));
+        spec.set("T2", dist(&["A"]));
+        spec.set("V", dist(&["B"]));
+        spec.set("W", dist(&["C"]));
+        let dp = compile_distributed(&plan, &spec, OptLevel::O3);
+        let p = dp.program("R").unwrap();
+        let moved = view_reparts(&dp, p);
+        assert_eq!(
+            moved,
+            ["LOCAL repartition_1 := REPARTITION<[*]>{ V }"],
+            "{}",
+            p.pretty()
+        );
+        let readers = p
+            .statements()
+            .filter(|s| s.reads().contains(&"repartition_1".to_string()))
+            .count();
+        assert_eq!(readers, 2, "{}", p.pretty());
+        // Without CSE every statement ships its own copy.
+        let o1 = compile_distributed(&plan, &spec, OptLevel::O1);
+        let o1_moved = view_reparts(&o1, o1.program("R").unwrap());
+        assert_eq!(
+            o1_moved,
+            [
+                "LOCAL repartition_1 := REPARTITION<[*]>{ V }",
+                "LOCAL repartition_3 := REPARTITION<[A]>{ V }",
+            ]
+        );
+    }
+
+    #[test]
+    fn spec_without_ranks_weighs_every_view_equally() {
+        let plan = catalog_plan("Q7", OptLevel::O3).plan;
+        let ranked = PartitioningSpec::heuristic(&plan, &["OK", "SK", "CK"]);
+        let mut unranked = PartitioningSpec::new();
+        for (view, tag) in ranked.views() {
+            unranked.set(view, tag.clone());
+        }
+        assert_eq!(ranked.weight("M3"), 3, "M3 is keyed on OK");
+        assert_eq!(ranked.weight("M2"), 1 + 1, "M2 is keyed on SK");
+        assert_eq!(ranked.weight("M5"), 1, "M5 is keyed on CK");
+        for v in &plan.views {
+            assert_eq!(unranked.weight(&v.name), 1, "{}", v.name);
+        }
+        for opt in [OptLevel::O1, OptLevel::O3] {
+            let dp = compile_distributed(&plan, &unranked, opt);
+            assert_eq!(dp.programs.len(), plan.triggers.len());
+            for p in &dp.programs {
+                assert!(p.statements().any(|s| s.target == plan.top_view));
+            }
+        }
+    }
+
+    #[test]
+    fn catalog_moves_at_most_44_views_at_o3() {
+        let mut reparts = 0;
+        for q in hotdog_workload::all_queries() {
+            let dp = catalog_plan(q.id, OptLevel::O3);
+            reparts += dp
+                .programs
+                .iter()
+                .map(|p| view_reparts(&dp, p).len())
+                .sum::<usize>();
+        }
+        assert!(reparts <= 44, "{reparts} view repartitions at O3");
     }
 
     #[test]

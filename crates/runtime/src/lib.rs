@@ -1795,9 +1795,9 @@ impl<T: Transport> Driver<T> {
             }
             Transform::Repart(pf) => {
                 let collected = self.gather(stmt, source)?;
-                let moved = collected.serialized_size();
-                self.scatter(pf, &collected, stmt);
-                Ok(moved + collected.serialized_size())
+                // Every worker's piece travels to the driver, then each
+                // shard out again (once per worker when replicated).
+                Ok(collected.serialized_size() + self.scatter(pf, &collected, stmt))
             }
             Transform::Gather => {
                 let collected = self.gather(stmt, source)?;
@@ -2738,6 +2738,55 @@ mod tests {
                 "inflight window {inflight} diverged"
             );
         }
+    }
+
+    #[test]
+    fn replicated_repartition_counts_every_copy() {
+        // S's trigger fills the top view, partitioned on B; a hand-written
+        // trigger on R only replicates that view, so its batch moves the
+        // view to the driver once and back out once per worker.
+        const WORKERS: usize = 3;
+        let plan = compile_recursive("V", &sum(["A", "B"], rel("S", ["A", "B"])));
+        let view = plan.top_view.clone();
+        let schema = plan.top().schema.clone();
+        let mut spec = PartitioningSpec::new();
+        spec.set(&view, LocTag::Dist(PartitionFn::by(["B"])));
+        let mut dplan = compile_distributed(&plan, &spec, OptLevel::O3);
+        dplan
+            .temps
+            .insert("copy".into(), (schema.clone(), LocTag::Replicated));
+        dplan.programs.push(TriggerProgram {
+            relation: "R".into(),
+            relation_schema: Schema::new(["X"]),
+            blocks: vec![hotdog_distributed::Block {
+                mode: StmtMode::Local,
+                statements: vec![DistStatement {
+                    target: "copy".into(),
+                    target_schema: schema,
+                    op: StmtOp::SetTo,
+                    kind: DistStmtKind::Transform {
+                        kind: Transform::Repart(PartitionFn::Replicate),
+                        source: view.clone(),
+                    },
+                    mode: StmtMode::Local,
+                }],
+            }],
+        });
+        let s = Relation::from_pairs(
+            Schema::new(["A", "B"]),
+            (0..30i64).map(|i| (tuple![i, i % 7], 1.0)),
+        );
+        let r = Relation::from_pairs(Schema::new(["X"]), [(tuple![1i64], 1.0)]);
+        let mut simulated = Cluster::new(dplan.clone(), ClusterConfig::with_workers(WORKERS));
+        let mut threaded = ThreadedCluster::new(dplan, WORKERS);
+        simulated.apply_batch("S", &s);
+        threaded.apply_batch("S", &s);
+        let size = simulated.view_contents(&view).serialized_size();
+        assert!(size > 0);
+        let simulated_bytes = simulated.apply_batch("R", &r).bytes_shuffled;
+        let threaded_bytes = threaded.apply_batch("R", &r).bytes_shuffled;
+        assert_eq!(simulated_bytes, size + WORKERS * size);
+        assert_eq!(threaded_bytes, simulated_bytes);
     }
 
     #[test]
